@@ -7,8 +7,7 @@
 
 use traffic_tensor::Tensor;
 
-use crate::eigen::sym_eigen;
-use crate::laplacian::normalized_laplacian;
+use crate::laplacian::LaplacianSpectrum;
 
 /// Computes a `[N, dim]` spectral embedding from the adjacency.
 ///
@@ -17,23 +16,28 @@ use crate::laplacian::normalized_laplacian;
 /// λ≈0 is skipped). If the graph has fewer usable eigenvectors than `dim`,
 /// the remaining columns are zero.
 pub fn spectral_embedding(adj: &Tensor, dim: usize) -> Tensor {
-    let n = adj.shape()[0];
-    assert_eq!(adj.shape(), &[n, n]);
-    assert!(dim >= 1, "embedding dim must be >= 1");
-    let l = normalized_laplacian(adj);
-    let e = sym_eigen(&l, 16);
-    let mut out = Tensor::zeros(&[n, dim]);
-    {
-        let buf = out.make_mut();
-        // Skip the first (trivial/constant) eigenvector.
-        for d in 0..dim.min(n.saturating_sub(1)) {
-            let vec = &e.vectors[d + 1];
-            for i in 0..n {
-                buf[i * dim + d] = vec[i];
+    LaplacianSpectrum::of(adj).embedding(dim)
+}
+
+impl LaplacianSpectrum {
+    /// The `[N, dim]` spectral embedding of [`spectral_embedding`], taken
+    /// from this decomposition's eigenvectors.
+    pub fn embedding(&self, dim: usize) -> Tensor {
+        assert!(dim >= 1, "embedding dim must be >= 1");
+        let n = self.laplacian.shape()[0];
+        let mut out = Tensor::zeros(&[n, dim]);
+        {
+            let buf = out.make_mut();
+            // Skip the first (trivial/constant) eigenvector.
+            for d in 0..dim.min(n.saturating_sub(1)) {
+                let vec = &self.eigen.vectors[d + 1];
+                for i in 0..n {
+                    buf[i * dim + d] = vec[i];
+                }
             }
         }
+        out
     }
-    out
 }
 
 #[cfg(test)]

@@ -3,7 +3,13 @@
 use traffic_tensor::{Propagator, Tensor};
 
 use crate::adjacency::symmetrize;
-use crate::eigen::max_eigenvalue;
+use crate::eigen::{sym_eigen, SymEigen};
+
+/// Jacobi sweep budget for the normalised Laplacian's eigendecomposition.
+/// Road-network Laplacians stop rotating after 12–13 sweeps at 200–325
+/// nodes and [`sym_eigen`] leaves as soon as they do, so the budget only
+/// bounds pathological inputs.
+pub const SPECTRUM_SWEEPS: usize = 16;
 
 /// Symmetric normalised Laplacian `L = I − D^{-1/2} A D^{-1/2}` of a
 /// (symmetrised) non-negative adjacency.
@@ -29,20 +35,46 @@ pub fn normalized_laplacian(adj: &Tensor) -> Tensor {
     l
 }
 
-/// Rescaled Laplacian for Chebyshev convolutions:
-/// `L̃ = 2L/λmax − I`, with eigenvalues mapped into `[-1, 1]`.
-pub fn scaled_laplacian(adj: &Tensor) -> Tensor {
-    let l = normalized_laplacian(adj);
-    let lmax = max_eigenvalue(&l, 12).max(1e-6);
-    let n = l.shape()[0];
-    let mut out = l.mul_scalar(2.0 / lmax);
-    {
-        let buf = out.make_mut();
-        for i in 0..n {
-            buf[i * n + i] -= 1.0;
-        }
+/// The normalised Laplacian of a graph and its one eigendecomposition.
+///
+/// Both the rescaled Laplacian `L̃` (from λmax) and the spectral node
+/// embedding (from the eigenvectors) derive from it, so a graph context
+/// pays for a single `O(N³)` decomposition.
+pub struct LaplacianSpectrum {
+    /// `L = I − D^{-1/2} A D^{-1/2}` of the symmetrised adjacency.
+    pub(crate) laplacian: Tensor,
+    /// Eigenpairs of `laplacian`, eigenvalues ascending.
+    pub(crate) eigen: SymEigen,
+}
+
+impl LaplacianSpectrum {
+    /// Builds the normalised Laplacian of `adj` and decomposes it.
+    pub fn of(adj: &Tensor) -> Self {
+        let laplacian = normalized_laplacian(adj);
+        let eigen = sym_eigen(&laplacian, SPECTRUM_SWEEPS);
+        LaplacianSpectrum { laplacian, eigen }
     }
-    out
+
+    /// Rescaled Laplacian for Chebyshev convolutions:
+    /// `L̃ = 2L/λmax − I`, with eigenvalues mapped into `[-1, 1]`.
+    pub fn scaled_laplacian(&self) -> Tensor {
+        let lmax = self.eigen.values.last().expect("empty matrix").max(1e-6);
+        let n = self.laplacian.shape()[0];
+        let mut out = self.laplacian.mul_scalar(2.0 / lmax);
+        {
+            let buf = out.make_mut();
+            for i in 0..n {
+                buf[i * n + i] -= 1.0;
+            }
+        }
+        out
+    }
+}
+
+/// Rescaled Laplacian `L̃ = 2L/λmax − I` of `adj`
+/// ([`LaplacianSpectrum::scaled_laplacian`]).
+pub fn scaled_laplacian(adj: &Tensor) -> Tensor {
+    LaplacianSpectrum::of(adj).scaled_laplacian()
 }
 
 /// [`scaled_laplacian`] packaged as a [`Propagator`]: CSR when the
@@ -56,7 +88,6 @@ pub fn scaled_laplacian_propagator(adj: &Tensor) -> Propagator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eigen::sym_eigen;
 
     fn path_adj(n: usize) -> Tensor {
         let mut a = Tensor::zeros(&[n, n]);

@@ -18,7 +18,9 @@ pub mod transition;
 pub use adjacency::{binary_adjacency, gaussian_adjacency, row_normalize, symmetrize};
 pub use embedding::spectral_embedding;
 pub use generators::{freeway_corridor, grid, metro_mix, random_geometric};
-pub use laplacian::{normalized_laplacian, scaled_laplacian, scaled_laplacian_propagator};
+pub use laplacian::{
+    normalized_laplacian, scaled_laplacian, scaled_laplacian_propagator, LaplacianSpectrum,
+};
 pub use network::{Edge, RoadNetwork, Sensor};
 pub use transition::{
     backward_transition, diffusion_support_propagators, diffusion_supports, forward_transition,

@@ -5,10 +5,19 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use traffic_graph::eigen::sym_eigen;
+use traffic_graph::laplacian::SPECTRUM_SWEEPS;
 use traffic_graph::{
     backward_transition, forward_transition, gaussian_adjacency, normalized_laplacian,
     row_normalize, scaled_laplacian, spectral_embedding, symmetrize, RoadNetwork,
 };
+use traffic_models::GraphContext;
+
+/// Raw bit patterns, so equality means bit-identical (no `-0.0 == 0.0`
+/// or NaN slack).
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
 
 fn any_network() -> impl Strategy<Value = RoadNetwork> {
     (0u8..3, 8usize..24, 0u64..1000).prop_map(|(kind, n, seed)| {
@@ -120,5 +129,30 @@ proptest! {
         for e in net.edges() {
             prop_assert!(e.distance_km > 0.0);
         }
+    }
+
+    #[test]
+    fn converged_decomposition_is_a_fixed_point(net in any_network()) {
+        let l = normalized_laplacian(&gaussian_adjacency(&net, 0.05));
+        let budget = sym_eigen(&l, SPECTRUM_SWEEPS);
+        let long = sym_eigen(&l, 40);
+        prop_assert_eq!(bits(&budget.values), bits(&long.values));
+        for (a, b) in budget.vectors.iter().zip(&long.vectors) {
+            prop_assert_eq!(bits(a), bits(b));
+        }
+    }
+
+    #[test]
+    fn shared_spectrum_matches_standalone_builders(net in any_network()) {
+        let a = gaussian_adjacency(&net, 0.05);
+        let ctx = GraphContext::from_adjacency(a.clone(), 6);
+        prop_assert_eq!(
+            bits(ctx.scaled_laplacian.as_slice()),
+            bits(scaled_laplacian(&a).as_slice())
+        );
+        prop_assert_eq!(
+            bits(ctx.node_embedding.as_slice()),
+            bits(spectral_embedding(&a, 6).as_slice())
+        );
     }
 }

@@ -3,8 +3,8 @@
 
 use rand::rngs::StdRng;
 use traffic_graph::{
-    diffusion_supports, gaussian_adjacency, row_normalize, scaled_laplacian, spectral_embedding,
-    symmetrize, RoadNetwork,
+    diffusion_supports, gaussian_adjacency, row_normalize, symmetrize, LaplacianSpectrum,
+    RoadNetwork,
 };
 use traffic_nn::ParamStore;
 use traffic_tensor::{Tape, Tensor, Var};
@@ -33,13 +33,19 @@ impl GraphContext {
     /// Builds every matrix from a road network. `se_dim` sizes the node
     /// embedding.
     pub fn from_network(net: &RoadNetwork, se_dim: usize) -> Self {
-        let adjacency = gaussian_adjacency(net, 0.05);
+        Self::from_adjacency(gaussian_adjacency(net, 0.05), se_dim)
+    }
+
+    /// Builds every matrix from a weighted `[N, N]` adjacency. `L̃` and
+    /// the node embedding share one Laplacian eigendecomposition.
+    pub fn from_adjacency(adjacency: Tensor, se_dim: usize) -> Self {
+        let spectrum = LaplacianSpectrum::of(&adjacency);
         GraphContext {
-            n: net.num_nodes(),
-            scaled_laplacian: scaled_laplacian(&adjacency),
+            n: adjacency.shape()[0],
+            scaled_laplacian: spectrum.scaled_laplacian(),
             supports: diffusion_supports(&adjacency),
             row_norm_adj: row_normalize(&symmetrize(&adjacency)),
-            node_embedding: spectral_embedding(&adjacency, se_dim),
+            node_embedding: spectrum.embedding(se_dim),
             adjacency,
         }
     }

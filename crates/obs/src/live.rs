@@ -295,11 +295,28 @@ impl LiveServer {
             conns: Mutex::new(Vec::new()),
         });
         let accept_ctx = Arc::clone(&ctx);
-        let accept = std::thread::Builder::new()
+        // A spawn failure must fail start(): a server whose accept thread
+        // never launched would serve nothing while its tap stayed
+        // registered and counted, so undo both before returning.
+        let accept = match std::thread::Builder::new()
             .name("traffic-live".into())
             .spawn(move || accept_loop(listener, accept_ctx))
-            .ok();
-        Ok(LiveServer { addr, run: run.map(str::to_string), stop, tap, tap_sink, accept })
+        {
+            Ok(h) => h,
+            Err(e) => {
+                crate::sink::remove_sink(&tap_sink);
+                untrack();
+                return Err(e);
+            }
+        };
+        Ok(LiveServer {
+            addr,
+            run: run.map(str::to_string),
+            stop,
+            tap,
+            tap_sink,
+            accept: Some(accept),
+        })
     }
 
     /// The bound address (resolves port 0).

@@ -38,7 +38,6 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use traffic_graph::{row_normalize, scaled_laplacian, spectral_embedding, symmetrize};
 use traffic_models::{build_model, GraphContext, TrafficModel};
 use traffic_nn::tnn2::{self, PayloadReader, PayloadWriter};
 use traffic_nn::CheckpointError;
@@ -237,14 +236,7 @@ impl ServeSnapshot {
     pub fn instantiate(self) -> Result<LoadedModel, CheckpointError> {
         let snap = self;
         let build = catch_unwind(AssertUnwindSafe(|| {
-            let ctx = GraphContext {
-                n: snap.n,
-                scaled_laplacian: scaled_laplacian(&snap.adjacency),
-                supports: traffic_graph::diffusion_supports(&snap.adjacency),
-                row_norm_adj: row_normalize(&symmetrize(&snap.adjacency)),
-                node_embedding: spectral_embedding(&snap.adjacency, snap.se_dim),
-                adjacency: snap.adjacency.clone(),
-            };
+            let ctx = GraphContext::from_adjacency(snap.adjacency.clone(), snap.se_dim);
             let mut rng = StdRng::seed_from_u64(snap.seed);
             build_model(&snap.model, &ctx, &mut rng)
         }));

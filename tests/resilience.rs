@@ -16,9 +16,9 @@ use traffic_suite::models::{build_model, GraphContext};
 use traffic_suite::obs::counter;
 use traffic_suite::obs::faults::{self, FaultMode};
 
-/// Fault state is process-global: every test that arms a fault holds
-/// this lock for its whole duration (same pattern as `knob_lock` in
-/// determinism.rs).
+/// Fault state is process-global: every test that arms a fault, or that
+/// trains past a fault site, holds this lock for its whole duration
+/// (same pattern as `knob_lock` in determinism.rs).
 fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -135,6 +135,7 @@ fn resume_rejects_checkpoint_from_different_config() {
 
 #[test]
 fn divergence_supervisor_gives_up_after_max_retries() {
+    let _g = fault_lock();
     let (data, ctx) = tiny_setup();
     let mut rng = StdRng::seed_from_u64(9);
     let model = build_model("STGCN", &ctx, &mut rng);
@@ -169,6 +170,7 @@ fn divergence_supervisor_gives_up_after_max_retries() {
 
 #[test]
 fn divergence_supervisor_recovers_from_unstable_lr() {
+    let _g = fault_lock();
     let (data, ctx) = tiny_setup();
     let mut rng = StdRng::seed_from_u64(17);
     let model = build_model("STG2Seq", &ctx, &mut rng);
